@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/apps"
 	"repro/internal/tmk"
 	"repro/internal/ubench"
 )
@@ -70,7 +71,9 @@ func BenchE1() (*BenchSuite, error) {
 }
 
 // BenchE2 captures the Figure 4 application execution times over the
-// given node counts.
+// given node counts, plus each application under home-based LRC on
+// rdmagm (that substrate's default protocol) as "<app>/home-based" rows,
+// so every protocol a user can select per application is gated.
 func BenchE2(nodes []int) (*BenchSuite, error) {
 	rows, err := Figure4(nodes)
 	if err != nil {
@@ -78,9 +81,16 @@ func BenchE2(nodes []int) (*BenchSuite, error) {
 	}
 	s := &BenchSuite{Schema: BenchSchema, Suite: "e2"}
 	for _, r := range rows {
+		home, err := RunApp(apps.ByName(r.App), r.Nodes, tmk.TransportRDMAGM, func(cfg *tmk.Config) {
+			cfg.HomeBased = true
+		})
+		if err != nil {
+			return nil, fmt.Errorf("e2 %s %dp home-based: %w", r.App, r.Nodes, err)
+		}
 		s.Entries = append(s.Entries,
 			BenchEntry{Name: r.App, Nodes: r.Nodes, Transport: string(tmk.TransportUDPGM), Value: int64(r.UDP), Unit: "ns"},
 			BenchEntry{Name: r.App, Nodes: r.Nodes, Transport: string(tmk.TransportFastGM), Value: int64(r.Fast), Unit: "ns"},
+			BenchEntry{Name: r.App + "/home-based", Nodes: r.Nodes, Transport: string(tmk.TransportRDMAGM), Value: int64(home.ExecTime), Unit: "ns"},
 		)
 	}
 	return s, nil

@@ -259,3 +259,35 @@ func TestHomeBasedHomelessOverRDMA(t *testing.T) {
 		})
 	}
 }
+
+// TestHomeBasedFlushOnePutPerPage bounds the home flush: each dirty
+// (page, home) pair of an interval ships as at most one scatter Put,
+// however fragmented its diff. Red-black SOR is the adversarial case —
+// its diffs are runs of alternating words, one Put per run would be
+// dozens per page — and Jacobi the dense one.
+func TestHomeBasedFlushOnePutPerPage(t *testing.T) {
+	appsUnder := []apps.App{
+		&apps.SOR{M: 64, N: 32, Iters: 3, Omega: 1.25, CostPerPoint: 35 * sim.Nanosecond},
+		&apps.Jacobi{N: 64, Iters: 4, CostPerPoint: 30 * sim.Nanosecond},
+	}
+	for _, app := range appsUnder {
+		for _, n := range []int{4, 8} {
+			t.Run(fmt.Sprintf("%s/%dp", app.Name(), n), func(t *testing.T) {
+				res, err := RunApp(app, n, tmk.TransportRDMAGM, func(cfg *tmk.Config) {
+					cfg.HomeBased = true
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				puts, flushes := res.Transport.OneSidedPuts, res.Stats.HomeFlushes
+				if flushes == 0 {
+					t.Fatal("home-based run flushed no diffs to homes")
+				}
+				if puts > flushes {
+					t.Errorf("%d Puts for %d home flushes (%.1f per dirty page), want at most one each",
+						puts, flushes, float64(puts)/float64(flushes))
+				}
+			})
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package rdmagm
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/substrate"
+)
 
 // Wire framing for the one-sided ports. Verb descriptors travel to the
 // target's verb port; completion entries travel back to the initiator's
@@ -11,7 +15,7 @@ import "fmt"
 // Frame tags. Disjoint from the fastgm tags (1..5) so a frame misrouted
 // across ports is always rejected rather than misparsed.
 const (
-	frameVerbPut      byte = 0x11 // one-sided write: payload follows the header
+	frameVerbPut      byte = 0x11 // one-sided scatter write: runs follow the header
 	frameVerbGet      byte = 0x12 // one-sided read: no payload
 	frameVerbFetchAdd byte = 0x13 // atomic fetch-and-add: 8-byte delta follows
 	frameCompletion   byte = 0x14 // CQ entry answering one verb
@@ -25,8 +29,14 @@ const (
 )
 
 // verbHeaderLen is the fixed prefix of every verb frame:
-// tag(1) origin(4) seq(4) window(4) off(4) length(4).
+// tag(1) origin(4) seq(4) window(4) off(4) length(4). For a Put, off is
+// the base the runs are relative to and length the total run bytes.
 const verbHeaderLen = 21
+
+// runHeaderLen prefixes each run of a Put body: off(4) length(4), the
+// run's offset relative to the verb's base and its byte count; the run's
+// bytes follow immediately.
+const runHeaderLen = 8
 
 // compHeaderLen is the fixed prefix of every completion frame:
 // tag(1) from(4) seq(4) op(1) status(1).
@@ -54,18 +64,18 @@ func get64(b []byte) uint64 {
 
 // verbFrame is one decoded verb descriptor.
 type verbFrame struct {
-	op      byte
-	origin  int32
-	seq     uint32
-	window  int32
-	off     int
-	length  int
-	delta   int64  // FetchAdd only
-	payload []byte // Put only; aliases the receive buffer
+	op     byte
+	origin int32
+	seq    uint32
+	window int32
+	off    int
+	length int
+	delta  int64           // FetchAdd only
+	runs   []substrate.Run // Put only; decoded run data aliases the receive buffer
 }
 
 // encodeVerb writes the frame for vf into dst and returns its length.
-// dst must have room (verbHeaderLen + payload/delta).
+// dst must have room (verbFrameLen(vf) bytes).
 func encodeVerb(dst []byte, vf *verbFrame) int {
 	dst[0] = vf.op
 	put32(dst[1:], uint32(vf.origin))
@@ -76,7 +86,12 @@ func encodeVerb(dst []byte, vf *verbFrame) int {
 	n := verbHeaderLen
 	switch vf.op {
 	case frameVerbPut:
-		n += copy(dst[verbHeaderLen:], vf.payload)
+		for _, r := range vf.runs {
+			put32(dst[n:], uint32(r.Off))
+			put32(dst[n+4:], uint32(len(r.Data)))
+			n += runHeaderLen
+			n += copy(dst[n:], r.Data)
+		}
 	case frameVerbFetchAdd:
 		put64(dst[verbHeaderLen:], uint64(vf.delta))
 		n += faaWidth
@@ -88,7 +103,7 @@ func encodeVerb(dst []byte, vf *verbFrame) int {
 func verbFrameLen(vf *verbFrame) int {
 	switch vf.op {
 	case frameVerbPut:
-		return verbHeaderLen + len(vf.payload)
+		return verbHeaderLen + len(vf.runs)*runHeaderLen + vf.length
 	case frameVerbFetchAdd:
 		return verbHeaderLen + faaWidth
 	default:
@@ -96,7 +111,7 @@ func verbFrameLen(vf *verbFrame) int {
 	}
 }
 
-// decodeVerb parses one verb frame. The returned payload aliases data.
+// decodeVerb parses one verb frame. The returned run data aliases data.
 func decodeVerb(data []byte) (*verbFrame, error) {
 	if len(data) < verbHeaderLen {
 		return nil, fmt.Errorf("rdmagm: verb frame truncated (%d bytes)", len(data))
@@ -114,11 +129,24 @@ func decodeVerb(data []byte) (*verbFrame, error) {
 	}
 	switch vf.op {
 	case frameVerbPut:
-		if len(data) != verbHeaderLen+vf.length {
-			return nil, fmt.Errorf("rdmagm: put frame carries %d payload bytes, header claims %d",
-				len(data)-verbHeaderLen, vf.length)
+		total := 0
+		for body := data[verbHeaderLen:]; len(body) > 0; {
+			if len(body) < runHeaderLen {
+				return nil, fmt.Errorf("rdmagm: put run header truncated (%d bytes)", len(body))
+			}
+			off := int(int32(get32(body)))
+			n := int(int32(get32(body[4:])))
+			body = body[runHeaderLen:]
+			if n < 0 || n > len(body) {
+				return nil, fmt.Errorf("rdmagm: put run of %d bytes overruns the %d left in the frame", n, len(body))
+			}
+			vf.runs = append(vf.runs, substrate.Run{Off: off, Data: body[:n:n]})
+			body = body[n:]
+			total += n
 		}
-		vf.payload = data[verbHeaderLen:]
+		if total != vf.length {
+			return nil, fmt.Errorf("rdmagm: put frame carries %d run bytes, header claims %d", total, vf.length)
+		}
 	case frameVerbGet:
 		if len(data) != verbHeaderLen {
 			return nil, fmt.Errorf("rdmagm: get frame with trailing bytes")
@@ -149,37 +177,47 @@ type compFrame struct {
 	size   int64
 }
 
-// encodeCompletion builds the CQ entry answering vf with the given
-// status. For compOK, get carries the snapshot payload and faaOld the
-// pre-add value; for faults, size is the registered window size (-1 for
-// an unknown window id).
-func encodeCompletion(from int32, vf *verbFrame, status byte, get []byte, faaOld int64, size int64) []byte {
+// encodeCompletion builds the compOK CQ entry answering vf: get carries
+// a Get's snapshot payload, faaOld a FetchAdd's pre-add value.
+func encodeCompletion(from int32, vf *verbFrame, get []byte, faaOld int64) []byte {
 	n := compHeaderLen
-	switch {
-	case status != compOK:
-		n += 4 + 4 + 4 + 8
-	case vf.op == frameVerbGet:
+	switch vf.op {
+	case frameVerbGet:
 		n += len(get)
-	case vf.op == frameVerbFetchAdd:
+	case frameVerbFetchAdd:
 		n += faaWidth
 	}
+	b := compHeader(n, from, vf, compOK)
+	switch vf.op {
+	case frameVerbGet:
+		copy(b[compHeaderLen:], get)
+	case frameVerbFetchAdd:
+		put64(b[compHeaderLen:], uint64(faaOld))
+	}
+	return b
+}
+
+// encodeFault builds the CQ entry reporting a bounds fault on vf: the
+// rejected byte range [off, off+length) and the registered window size
+// (-1 for an unknown window id).
+func encodeFault(from int32, vf *verbFrame, status byte, off, length int, size int64) []byte {
+	b := compHeader(compHeaderLen+4+4+4+8, from, vf, status)
+	put32(b[compHeaderLen:], uint32(vf.window))
+	put32(b[compHeaderLen+4:], uint32(off))
+	put32(b[compHeaderLen+8:], uint32(length))
+	put64(b[compHeaderLen+12:], uint64(size))
+	return b
+}
+
+// compHeader allocates an n-byte completion frame answering vf and fills
+// in its fixed prefix.
+func compHeader(n int, from int32, vf *verbFrame, status byte) []byte {
 	b := make([]byte, n)
 	b[0] = frameCompletion
 	put32(b[1:], uint32(from))
 	put32(b[5:], vf.seq)
 	b[9] = vf.op
 	b[10] = status
-	switch {
-	case status != compOK:
-		put32(b[compHeaderLen:], uint32(vf.window))
-		put32(b[compHeaderLen+4:], uint32(vf.off))
-		put32(b[compHeaderLen+8:], uint32(vf.length))
-		put64(b[compHeaderLen+12:], uint64(size))
-	case vf.op == frameVerbGet:
-		copy(b[compHeaderLen:], get)
-	case vf.op == frameVerbFetchAdd:
-		put64(b[compHeaderLen:], uint64(faaOld))
-	}
 	return b
 }
 

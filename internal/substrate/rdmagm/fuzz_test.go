@@ -65,18 +65,26 @@ func FuzzHandleVerbFrame(f *testing.F) {
 		return b
 	}
 	f.Add(seed(&verbFrame{op: frameVerbPut, origin: 1, seq: 1, window: 1, off: 64,
-		length: 4, payload: []byte{1, 2, 3, 4}})) // well-formed put
+		length: 4, runs: []substrate.Run{{Off: 0, Data: []byte{1, 2, 3, 4}}}})) // well-formed put
 	f.Add(seed(&verbFrame{op: frameVerbGet, origin: 1, seq: 2, window: 1, off: 0, length: 128}))
 	f.Add(seed(&verbFrame{op: frameVerbFetchAdd, origin: 1, seq: 3, window: 1, off: 8,
 		length: faaWidth, delta: -5}))
 	f.Add(seed(&verbFrame{op: frameVerbGet, origin: 1, seq: 4, window: 99, off: 0, length: 8})) // unknown window
 	f.Add(seed(&verbFrame{op: frameVerbPut, origin: 1, seq: 5, window: 1, off: 4090,
-		length: 16, payload: make([]byte, 16)})) // straddles the window end
+		length: 16, runs: []substrate.Run{{Off: 0, Data: make([]byte, 16)}}})) // straddles the window end
 	f.Add(seed(&verbFrame{op: frameVerbGet, origin: 1, seq: 6, window: 1, off: -4, length: 8})) // negative offset
 	f.Add(seed(&verbFrame{op: frameVerbGet, origin: 77, seq: 7, window: 1, off: 0, length: 8})) // absurd origin
 	truncated := seed(&verbFrame{op: frameVerbPut, origin: 1, seq: 8, window: 1, off: 0,
-		length: 64, payload: make([]byte, 64)})
-	f.Add(truncated[:verbHeaderLen+10]) // payload shorter than header claims
+		length: 64, runs: []substrate.Run{{Off: 0, Data: make([]byte, 64)}}})
+	f.Add(truncated[:verbHeaderLen+runHeaderLen+10]) // run shorter than its header claims
+	f.Add(seed(&verbFrame{op: frameVerbPut, origin: 1, seq: 9, window: 1, off: 512, length: 12,
+		runs: []substrate.Run{{Off: 0, Data: []byte{1, 2, 3, 4}}, {Off: 8, Data: []byte{5, 6, 7, 8}},
+			{Off: 3000, Data: []byte{9, 10, 11, 12}}}})) // well-formed scatter put
+	f.Add(seed(&verbFrame{op: frameVerbPut, origin: 1, seq: 10, window: 1, off: 4000, length: 8,
+		runs: []substrate.Run{{Off: 0, Data: []byte{1, 2, 3, 4}}, {Off: 200, Data: []byte{5, 6, 7, 8}}}})) // last run out of bounds
+	multi := seed(&verbFrame{op: frameVerbPut, origin: 1, seq: 11, window: 1, off: 0, length: 8,
+		runs: []substrate.Run{{Off: 0, Data: []byte{1, 2, 3, 4}}, {Off: 16, Data: []byte{5, 6, 7, 8}}}})
+	f.Add(multi[:verbHeaderLen+runHeaderLen+4+3]) // second run header cut short
 	f.Add([]byte{frameVerbFetchAdd, 1, 0, 0, 0, 9, 0, 0, 0})
 	f.Add([]byte{frameCompletion, 1, 2, 3}) // completion tag on the verb port
 	f.Add([]byte{})
@@ -106,14 +114,13 @@ func FuzzHandleVerbFrame(f *testing.F) {
 func FuzzHandleCompletion(f *testing.F) {
 	// Completions answering the outstanding put (seq 1): matched op,
 	// mismatched op, fault statuses, trailing garbage.
-	okPut := encodeCompletion(0, &verbFrame{op: frameVerbPut, seq: 1}, compOK, nil, 0, 0)
+	okPut := encodeCompletion(0, &verbFrame{op: frameVerbPut, seq: 1}, nil, 0)
 	f.Add(okPut)
-	f.Add(append(okPut, 0xEE))                                                                // put completion with trailing bytes
-	f.Add(encodeCompletion(0, &verbFrame{op: frameVerbGet, seq: 1}, compOK, []byte{9}, 0, 0)) // wrong op for seq 1
-	f.Add(encodeCompletion(0, &verbFrame{op: frameVerbFetchAdd, seq: 1}, compOK, nil, 42, 0)) // wrong op, faa body
-	f.Add(encodeCompletion(0, &verbFrame{op: frameVerbPut, seq: 1, window: 1, off: 4, length: 8},
-		compOOB, nil, 0, 4096)) // bounds fault for the live verb
-	f.Add(encodeCompletion(0, &verbFrame{op: frameVerbPut, seq: 900}, compOK, nil, 0, 0)) // stale seq
+	f.Add(append(okPut, 0xEE))                                                                  // put completion with trailing bytes
+	f.Add(encodeCompletion(0, &verbFrame{op: frameVerbGet, seq: 1}, []byte{9}, 0))              // wrong op for seq 1
+	f.Add(encodeCompletion(0, &verbFrame{op: frameVerbFetchAdd, seq: 1}, nil, 42))              // wrong op, faa body
+	f.Add(encodeFault(0, &verbFrame{op: frameVerbPut, seq: 1, window: 1}, compOOB, 4, 8, 4096)) // bounds fault for the live verb
+	f.Add(encodeCompletion(0, &verbFrame{op: frameVerbPut, seq: 900}, nil, 0))                  // stale seq
 	badStatus := append([]byte(nil), okPut...)
 	badStatus[10] = 9 // unknown status
 	f.Add(badStatus)
@@ -128,8 +135,8 @@ func FuzzHandleCompletion(f *testing.F) {
 			data = data[:params.MaxMessage()]
 		}
 		fuzzCluster(t, func(p *sim.Proc, target, initiator *Transport) {
-			pv := initiator.PostPut(p, 0, 1, 0, []byte{1, 2, 3, 4}) // live verb, seq 1
-			for i := 0; i < 2; i++ {                                // duplicated ack: second copy must be stale
+			pv := initiator.PostPut(p, 0, 1, 0, []substrate.Run{{Data: []byte{1, 2, 3, 4}}}) // live verb, seq 1
+			for i := 0; i < 2; i++ {                                                         // duplicated ack: second copy must be stale
 				initiator.handleCompletion(p, deliver(p, initiator.node, 0, CQPort, data))
 			}
 			// However the fuzzed entries collided with it, the genuine verb

@@ -48,6 +48,13 @@ const (
 // buffer or token (kernel context cannot block).
 const compRetry = 50 * sim.Microsecond
 
+// runDescriptorCost is the target-NIC firmware time for each run of a
+// scatter Put after the first: one more host-DMA descriptor to program
+// (address, length, chain link) and one more bounds comparison. The
+// verb's first run rides the NICServiceCost, which already covers
+// parsing, the window lookup and staging one DMA. See DESIGN.md §12.3.
+const runDescriptorCost = 250 * sim.Nanosecond
+
 // verbFlowWindow is the per-QP outstanding-verb cap when end-to-end flow
 // control (Config.Fast.Flow) is enabled: small enough that n−1 initiators
 // incasting at one target cannot overrun its verb ring, large enough to
@@ -127,12 +134,6 @@ func New(node *gm.Node, rank, size int, cfg Config) *Transport {
 		qpDepth:   make([]int, size),
 	}
 	return t
-}
-
-// MaxVerbPayload returns the largest Put payload (and Get length) one
-// verb carries.
-func (t *Transport) MaxVerbPayload() int {
-	return t.node.System().Params().MaxMessage() - verbHeaderLen
 }
 
 // Start starts the embedded two-sided transport, then opens the verb and
@@ -268,15 +269,19 @@ func (t *Transport) RegisterWindow(p *sim.Proc, id int32, mem []byte) {
 }
 
 // PostPut implements substrate.OneSided.
-func (t *Transport) PostPut(p *sim.Proc, dst int, window int32, off int, data []byte) substrate.PendingVerb {
+func (t *Transport) PostPut(p *sim.Proc, dst int, window int32, base int, runs []substrate.Run) substrate.PendingVerb {
+	n := 0
+	for _, r := range runs {
+		n += len(r.Data)
+	}
 	st := t.Stats()
 	st.OneSidedPuts++
-	st.OneSidedBytesPut += int64(len(data))
-	// The staging copy into the registered descriptor (the payload rides
-	// the frame; windows on the initiator side need no registration).
-	p.Advance(sim.BytesTime(len(data), t.rcfg.Fast.CopyBandwidth))
-	return t.post(p, dst, &verbFrame{op: frameVerbPut, window: window, off: off,
-		length: len(data), payload: data})
+	st.OneSidedBytesPut += int64(n)
+	// The staging copy into the registered descriptor (the runs ride the
+	// frame; windows on the initiator side need no registration).
+	p.Advance(sim.BytesTime(n, t.rcfg.Fast.CopyBandwidth))
+	return t.post(p, dst, &verbFrame{op: frameVerbPut, window: window, off: base,
+		length: n, runs: runs})
 }
 
 // PostGet implements substrate.OneSided.
@@ -711,35 +716,7 @@ func (t *Transport) onVerbFrame(rv *gm.Recv) {
 	}
 	e := t.vdup.Insert(key)
 
-	var comp []byte
-	var dmaBytes int
-	win, ok := t.windows[vf.window]
-	switch {
-	case !ok:
-		st.WindowFaults++
-		comp = encodeCompletion(int32(t.rank), vf, compBadWindow, nil, 0, -1)
-	case vf.off < 0 || vf.length < 0 || vf.off+vf.length > len(win):
-		st.WindowFaults++
-		comp = encodeCompletion(int32(t.rank), vf, compOOB, nil, 0, int64(len(win)))
-	default:
-		switch vf.op {
-		case frameVerbPut:
-			copy(win[vf.off:vf.off+vf.length], vf.payload)
-			dmaBytes = vf.length
-			comp = encodeCompletion(int32(t.rank), vf, compOK, nil, 0, 0)
-		case frameVerbGet:
-			snap := append([]byte(nil), win[vf.off:vf.off+vf.length]...)
-			dmaBytes = vf.length
-			comp = encodeCompletion(int32(t.rank), vf, compOK, snap, 0, 0)
-		case frameVerbFetchAdd:
-			old := int64(get64(win[vf.off:]))
-			put64(win[vf.off:], uint64(old+vf.delta))
-			dmaBytes = faaWidth
-			comp = encodeCompletion(int32(t.rank), vf, compOK, nil, old, 0)
-		}
-	}
-	// Firmware service + DMA latency, then the completion entry.
-	delay := t.rcfg.NICServiceCost + sim.BytesTime(dmaBytes, t.rcfg.DMABandwidth)
+	comp, delay := t.execVerb(vf)
 	dst := int(vf.origin)
 	var compAux []byte
 	if cz != nil {
@@ -757,6 +734,49 @@ func (t *Transport) onVerbFrame(rv *gm.Recv) {
 	t.verbPort.ProvideReceiveBuffer(rv.Buffer)
 
 	t.proc.Sim().After(delay, func() { t.sendCompletion(dst, comp, compAux) })
+}
+
+// execVerb is the firmware's execution of one fresh verb against the
+// window table: it returns the completion entry and the firmware time
+// (service, per-run descriptors, DMA) before the entry can ship. Every
+// byte range the verb touches is bounds-checked before any is written,
+// so a faulting scatter Put leaves the window untouched.
+func (t *Transport) execVerb(vf *verbFrame) (comp []byte, delay sim.Time) {
+	st := t.Stats()
+	delay = t.rcfg.NICServiceCost
+	win, ok := t.windows[vf.window]
+	if !ok {
+		st.WindowFaults++
+		return encodeFault(int32(t.rank), vf, compBadWindow, vf.off, vf.length, -1), delay
+	}
+	inWindow := func(off, n int) bool { return off >= 0 && n >= 0 && off+n <= len(win) }
+	switch vf.op {
+	case frameVerbPut:
+		for _, r := range vf.runs {
+			if off := vf.off + r.Off; !inWindow(off, len(r.Data)) {
+				st.WindowFaults++
+				return encodeFault(int32(t.rank), vf, compOOB, off, len(r.Data), int64(len(win))), delay
+			}
+		}
+		for _, r := range vf.runs {
+			copy(win[vf.off+r.Off:], r.Data)
+		}
+		if len(vf.runs) > 1 {
+			delay += sim.Time(len(vf.runs)-1) * runDescriptorCost
+		}
+		return encodeCompletion(int32(t.rank), vf, nil, 0), delay + sim.BytesTime(vf.length, t.rcfg.DMABandwidth)
+	}
+	if !inWindow(vf.off, vf.length) {
+		st.WindowFaults++
+		return encodeFault(int32(t.rank), vf, compOOB, vf.off, vf.length, int64(len(win))), delay
+	}
+	if vf.op == frameVerbGet {
+		snap := append([]byte(nil), win[vf.off:vf.off+vf.length]...)
+		return encodeCompletion(int32(t.rank), vf, snap, 0), delay + sim.BytesTime(vf.length, t.rcfg.DMABandwidth)
+	}
+	old := int64(get64(win[vf.off:]))
+	put64(win[vf.off:], uint64(old+vf.delta))
+	return encodeCompletion(int32(t.rank), vf, nil, old), delay + sim.BytesTime(faaWidth, t.rcfg.DMABandwidth)
 }
 
 // sendCompletion ships one CQ entry from kernel/event context,

@@ -65,7 +65,7 @@ func TestOneSidedPutGetRoundTrip(t *testing.T) {
 				return
 			}
 			p.Advance(sim.Millisecond) // let rank 1 register first
-			pv := os.PostPut(p, 1, 7, 1024, payload)
+			pv := os.PostPut(p, 1, 7, 1024, []substrate.Run{{Data: payload}})
 			if err := os.WaitVerbs(p, []substrate.PendingVerb{pv}); err != nil {
 				t.Errorf("put: %v", err)
 			}
@@ -176,7 +176,7 @@ func TestWindowBoundsErrors(t *testing.T) {
 			p.Advance(sim.Millisecond)
 
 			// Unknown window: Size is reported as -1.
-			pv := os.PostPut(p, 1, 99, 0, []byte{1, 2, 3})
+			pv := os.PostPut(p, 1, 99, 0, []substrate.Run{{Data: []byte{1, 2, 3}}})
 			err := os.WaitVerbs(p, []substrate.PendingVerb{pv})
 			var wbe *substrate.WindowBoundsError
 			if !errors.As(err, &wbe) {
@@ -201,7 +201,7 @@ func TestWindowBoundsErrors(t *testing.T) {
 
 			// A valid verb afterwards still works: faults are per-verb, not
 			// connection-fatal.
-			ok := os.PostPut(p, 1, 3, 0, []byte{9})
+			ok := os.PostPut(p, 1, 3, 0, []substrate.Run{{Data: []byte{9}}})
 			if err := os.WaitVerbs(p, []substrate.PendingVerb{ok}); err != nil {
 				t.Errorf("valid put after faults: %v", err)
 			}
@@ -217,6 +217,94 @@ func TestWindowBoundsErrors(t *testing.T) {
 	}
 	if st := c.Transports[1].Stats(); st.WindowFaults != 2 {
 		t.Errorf("target counted %d window faults, want 2", st.WindowFaults)
+	}
+}
+
+// TestScatterPut: one Put carrying several runs writes each at base+Off
+// and nothing in between, counts as one verb, and is charged the payload
+// bytes only.
+func TestScatterPut(t *testing.T) {
+	c := build(2, 1)
+	win := bytes.Repeat([]byte{0xAA}, 4096)
+	runs := []substrate.Run{
+		{Off: 0, Data: []byte{1, 2, 3, 4}},
+		{Off: 12, Data: []byte{5, 6, 7, 8, 9, 10, 11, 12}},
+		{Off: 1000, Data: bytes.Repeat([]byte{13}, 24)},
+	}
+	c.Spawn(
+		func(rank int) substrate.Handler {
+			return func(p *sim.Proc, m *msg.Message) {}
+		},
+		func(rank int, p *sim.Proc, tr substrate.Transport) {
+			os := oneSided(t, tr)
+			if rank == 1 {
+				os.RegisterWindow(p, 6, win)
+				return
+			}
+			p.Advance(sim.Millisecond)
+			pv := os.PostPut(p, 1, 6, 2048, runs)
+			if err := os.WaitVerbs(p, []substrate.PendingVerb{pv}); err != nil {
+				t.Errorf("scatter put: %v", err)
+			}
+		},
+	)
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte{0xAA}, 4096)
+	for _, r := range runs {
+		copy(want[2048+r.Off:], r.Data)
+	}
+	if !bytes.Equal(win, want) {
+		t.Error("window does not hold exactly the scattered runs")
+	}
+	st := c.Transports[0].Stats()
+	if st.OneSidedPuts != 1 || st.OneSidedBytesPut != 36 {
+		t.Errorf("initiator counted %d puts / %d bytes, want 1 / 36", st.OneSidedPuts, st.OneSidedBytesPut)
+	}
+}
+
+// TestScatterPutOutOfBoundsIsAtomic: the target bounds-checks every run
+// before writing any byte, so a scatter Put whose last run leaves the
+// window fails whole — a *WindowBoundsError naming that run — and the
+// in-bounds runs ahead of it are not applied.
+func TestScatterPutOutOfBoundsIsAtomic(t *testing.T) {
+	c := build(2, 1)
+	win := make([]byte, 4096)
+	c.Spawn(
+		func(rank int) substrate.Handler {
+			return func(p *sim.Proc, m *msg.Message) {}
+		},
+		func(rank int, p *sim.Proc, tr substrate.Transport) {
+			os := oneSided(t, tr)
+			if rank == 1 {
+				os.RegisterWindow(p, 3, win)
+				return
+			}
+			p.Advance(sim.Millisecond)
+			pv := os.PostPut(p, 1, 3, 2048, []substrate.Run{
+				{Off: 0, Data: []byte{1, 2, 3, 4}},
+				{Off: 100, Data: []byte{5, 6, 7, 8}},
+				{Off: 2040, Data: bytes.Repeat([]byte{9}, 16)}, // [4088, 4104)
+			})
+			err := os.WaitVerbs(p, []substrate.PendingVerb{pv})
+			var wbe *substrate.WindowBoundsError
+			if !errors.As(err, &wbe) {
+				t.Fatalf("got %v, want WindowBoundsError", err)
+			}
+			if wbe.Window != 3 || wbe.Off != 4088 || wbe.Len != 16 || wbe.Size != 4096 {
+				t.Errorf("diagnosis %+v, want the third run [4088,4104) of 4096", wbe)
+			}
+		},
+	)
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(win, make([]byte, len(win))) {
+		t.Error("faulting scatter put partially applied")
+	}
+	if st := c.Transports[1].Stats(); st.WindowFaults != 1 {
+		t.Errorf("target counted %d window faults, want 1", st.WindowFaults)
 	}
 }
 
@@ -247,7 +335,7 @@ func TestVerbFaultStorm(t *testing.T) {
 			p.Advance(sim.Millisecond)
 			var batch []substrate.PendingVerb
 			for k := 0; k < puts; k++ {
-				batch = append(batch, os.PostPut(p, 1, 5, k*chunk, want[k*chunk:(k+1)*chunk]))
+				batch = append(batch, os.PostPut(p, 1, 5, k*chunk, []substrate.Run{{Data: want[k*chunk : (k+1)*chunk]}}))
 			}
 			if err := os.WaitVerbs(p, batch); err != nil {
 				t.Errorf("put storm: %v", err)
@@ -307,7 +395,7 @@ func TestVerbBlackoutRecovery(t *testing.T) {
 			var batch []substrate.PendingVerb
 			for k := 0; k < 8; k++ {
 				chunk := bytes.Repeat([]byte{byte(k + 1)}, 512)
-				batch = append(batch, os.PostPut(p, 1, 2, k*512, chunk))
+				batch = append(batch, os.PostPut(p, 1, 2, k*512, []substrate.Run{{Data: chunk}}))
 			}
 			if err := os.WaitVerbs(p, batch); err != nil {
 				t.Errorf("blackout puts: %v", err)
@@ -353,7 +441,7 @@ func TestVerbsAbandonedOnDeadPeer(t *testing.T) {
 		tr.Start(p, func(p *sim.Proc, m *msg.Message) {})
 		os := oneSided(t, tr)
 		p.Advance(5 * sim.Millisecond) // rank 1 is dead by now
-		pv := os.PostPut(p, 0+1, 4, 0, []byte{1, 2, 3, 4})
+		pv := os.PostPut(p, 0+1, 4, 0, []substrate.Run{{Data: []byte{1, 2, 3, 4}}})
 		verr = os.WaitVerbs(p, []substrate.PendingVerb{pv})
 		tr.Shutdown(p)
 	})

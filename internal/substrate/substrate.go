@@ -131,11 +131,16 @@ type OneSided interface {
 	// (the checkpoint/restart path re-registers restored memory).
 	RegisterWindow(p *sim.Proc, id int32, mem []byte)
 
-	// PostPut starts a one-sided write of data into dst's window at
-	// byte offset off and returns immediately; the transfer is complete
+	// PostPut starts a one-sided scatter write into dst's window and
+	// returns immediately: each run's Data lands at byte offset
+	// base+run.Off. A contiguous write is the one-run case. The target
+	// bounds-checks every run before writing any byte, so a verb with one
+	// run outside the window fails whole (*WindowBoundsError naming that
+	// run) and leaves the window untouched. The transfer is complete
 	// (visible to the remote CPU and to subsequent verbs) once the verb
-	// resolves in WaitVerbs.
-	PostPut(p *sim.Proc, dst int, window int32, off int, data []byte) PendingVerb
+	// resolves in WaitVerbs. Neither runs nor their Data are retained
+	// after PostPut returns.
+	PostPut(p *sim.Proc, dst int, window int32, base int, runs []Run) PendingVerb
 
 	// PostGet starts a one-sided read of n bytes from dst's window at
 	// byte offset off; the payload is available from the handle's Data
@@ -157,6 +162,13 @@ type OneSided interface {
 	// if the liveness layer declared the target dead mid-verb), or nil
 	// if all verbs completed.
 	WaitVerbs(p *sim.Proc, verbs []PendingVerb) error
+}
+
+// Run is one contiguous piece of a scatter Put: Data is written at byte
+// offset Off relative to the verb's base.
+type Run struct {
+	Off  int
+	Data []byte
 }
 
 // PendingVerb is the handle for one outstanding one-sided verb.

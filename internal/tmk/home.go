@@ -232,10 +232,13 @@ func (tp *Proc) promoteValid(pm *pageMeta) {
 
 // flushHomeDiffs ships the interval's diffs into each dirty page's home
 // window and waits for every completion — the flush-before-synchronize
-// half of HLRC. Each diff run becomes one Put at the run's exact byte
-// range, so the wire carries only changed words. Runs masked (callers of
-// closeInterval hold delivery disabled), which is legal: completions
-// arrive on the dedicated CQ port, not the async request port.
+// half of HLRC. Each dirty (page, home) is one scatter Put whose runs are
+// the diff's runs, aliasing the diff buffer: the wire carries only
+// changed words, and the exact ranges keep a concurrent writer's words
+// on a multi-writer page intact (Putting the covering span would not).
+// Runs masked (callers of closeInterval hold delivery disabled), which is
+// legal: completions arrive on the dedicated CQ port, not the async
+// request port.
 //
 // No coverage filtering is needed on this path (contrast the homeless
 // applyDiffs): the home is a single ordered application point — Puts
@@ -244,6 +247,7 @@ func (tp *Proc) promoteValid(pm *pageMeta) {
 // "diff subsumed by a concurrently fetched copy" hazard to filter.
 func (tp *Proc) flushHomeDiffs(ts int32, pages []int32) {
 	var verbs []substrate.PendingVerb
+	var runs []substrate.Run
 	total := 0
 	for _, pg := range pages {
 		pm := tp.page(pg)
@@ -252,16 +256,18 @@ func (tp *Proc) flushHomeDiffs(ts int32, pages []int32) {
 			continue // our copy is the home window; nothing to ship
 		}
 		diff := tp.myDiffs[diffKey{page: pg, ts: ts}]
-		base := windowOff(pm)
+		runs = runs[:0]
 		nbytes := 0
 		for off := 0; off < len(diff); {
 			start := int(binary.LittleEndian.Uint16(diff[off:]))
 			count := int(binary.LittleEndian.Uint16(diff[off+2:]))
 			off += 4
-			verbs = append(verbs, tp.os.PostPut(tp.sp, home, pm.region.ID,
-				base+start*4, diff[off:off+count*4]))
+			runs = append(runs, substrate.Run{Off: start * 4, Data: diff[off : off+count*4]})
 			off += count * 4
 			nbytes += count * 4
+		}
+		if len(runs) > 0 {
+			verbs = append(verbs, tp.os.PostPut(tp.sp, home, pm.region.ID, windowOff(pm), runs))
 		}
 		total += nbytes
 		tp.stats.HomeFlushes++
