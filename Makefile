@@ -6,11 +6,11 @@ GO       ?= go
 FUZZTIME ?= 5s
 BENCHDIR ?= .
 
-.PHONY: all check fmt vet build test race fuzz-smoke bench bench-diff bench-gate prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke
+.PHONY: all check fmt vet build test race fuzz-smoke bench bench-diff bench-gate prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke e6-smoke perfbench-smoke
 
 all: check
 
-check: fmt vet build test race fuzz-smoke prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke bench bench-diff bench-gate
+check: fmt vet build test race fuzz-smoke prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke e6-smoke perfbench-smoke bench bench-diff bench-gate
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -104,3 +104,18 @@ prof-smoke:
 # end-to-end virtual time (DESIGN.md §13).
 critical-smoke:
 	$(GO) test -run 'TestCriticalSmokeSORFastGM' ./internal/harness/
+
+# Scalability smoke: the E6 sweep (4…256 nodes) must reproduce the E6
+# table checked into figures_output.txt byte for byte. Feasible because
+# GM registered memory is accounted, not allocated (DESIGN.md §4.7).
+e6-smoke:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	$(GO) run ./cmd/figures -fig e6 > "$$tmp" && \
+	sed -n '/^E6/,/^$$/p' figures_output.txt | diff -u - "$$tmp"
+
+# The repo benchmark's own tests (perfbench/ is a separate Go module, so
+# the root `go test ./...` does not reach it): every workload at small
+# sizes, traced and untraced, must self-check, print BENCHMARK.json's
+# metric names and units, and repeat its virtual results exactly.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...

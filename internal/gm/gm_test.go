@@ -2,6 +2,7 @@ package gm
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -469,9 +470,11 @@ func TestSubBuffer(t *testing.T) {
 		if len(b.Bytes()) != 64 || b.Class() != 6 {
 			t.Errorf("SubBuffer wrong: len=%d class=%d", len(b.Bytes()), b.Class())
 		}
+		// Buffers of one region have independent storage.
+		c := m.SubBuffer(1024, 6)
 		b.Bytes()[0] = 0xEE
-		if m.Bytes()[1024] != 0xEE {
-			t.Error("SubBuffer does not alias parent region")
+		if c.Bytes()[0] != 0 {
+			t.Error("SubBuffers of one region share storage")
 		}
 		defer func() {
 			if recover() == nil {
@@ -482,6 +485,72 @@ func TestSubBuffer(t *testing.T) {
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestRegisterAllocatesNoHostBytes(t *testing.T) {
+	s, sys := newTestSystem(t, 1)
+	n := sys.Node(0)
+	var ms0, ms1 runtime.MemStats
+	s.Spawn("p", 0, func(p *sim.Proc) {
+		runtime.ReadMemStats(&ms0)
+		n.Register(p, 64<<20)
+		runtime.ReadMemStats(&ms1)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if d := ms1.TotalAlloc - ms0.TotalAlloc; d >= 64<<10 {
+		t.Errorf("Register(64 MiB) allocated %d host bytes", d)
+	}
+	if n.PinnedBytes() != 64<<20 {
+		t.Errorf("pinned = %d", n.PinnedBytes())
+	}
+}
+
+func TestBufferBytesMaterialisedOnce(t *testing.T) {
+	s, sys := newTestSystem(t, 1)
+	n := sys.Node(0)
+	s.Spawn("p", 0, func(p *sim.Proc) {
+		for _, b := range []*Buffer{n.AllocBuffer(p, 9), n.Register(p, 8192).SubBuffer(4096, 12)} {
+			d := b.Bytes()
+			if want := ClassCapacity(b.Class()); len(d) != want || cap(d) != want {
+				t.Errorf("class %d: len=%d cap=%d, want %d", b.Class(), len(d), cap(d), want)
+			}
+			d[0] = 0x5A
+			if again := b.Bytes(); &again[0] != &d[0] || again[0] != 0x5A {
+				t.Errorf("class %d: Bytes not stable across calls", b.Class())
+			}
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSendFromUntouchedBufferDeliversZeros(t *testing.T) {
+	s, sys := newTestSystem(t, 2)
+	pa, pb := openPair(t, sys, 2)
+	const n = 3000 // class 12, several fabric fragments
+	var got []byte
+	s.Spawn("recv", 0, func(p *sim.Proc) {
+		b := sys.Node(1).AllocBuffer(p, 12)
+		for i := range b.Bytes() {
+			b.Bytes()[i] = 0xFF
+		}
+		pb.ProvideReceiveBuffer(b)
+		got = pb.WaitRecv(p).Data
+	})
+	s.Spawn("send", 0, func(p *sim.Proc) {
+		if err := pa.Send(p, 1, 2, sys.Node(0).AllocBuffer(p, 12), n, nil); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, n)) {
+		t.Errorf("got %d bytes, not %d zeros", len(got), n)
 	}
 }
 

@@ -12,15 +12,15 @@ const PageSize = 4096
 // Memory is a registered (pinned) memory region. GM can only send from
 // and receive into registered memory; registration costs virtual time and
 // counts against the node's pinned-byte budget, the resource the paper's
-// rendezvous option conserves.
+// rendezvous option conserves. A region is an accounting record: it holds
+// no bytes itself. The Buffers carved from it get host storage the first
+// time they are touched (Buffer.Bytes), so host memory follows the bytes
+// actually moved rather than the bytes the model pins.
 type Memory struct {
 	node       *Node
-	buf        []byte
+	size       int
 	registered bool
 }
-
-// Bytes exposes the region's storage.
-func (m *Memory) Bytes() []byte { return m.buf }
 
 // Registered reports whether the region is currently pinned.
 func (m *Memory) Registered() bool { return m.registered }
@@ -31,8 +31,8 @@ func (m *Memory) Deregister(p *sim.Proc) {
 		return
 	}
 	m.registered = false
-	m.node.pinnedBytes -= int64(len(m.buf))
-	pages := (len(m.buf) + PageSize - 1) / PageSize
+	m.node.pinnedBytes -= int64(m.size)
+	pages := (m.size + PageSize - 1) / PageSize
 	p.Advance(m.node.sys.params.RegisterBase + sim.Time(pages)*m.node.sys.params.RegisterPerPage/2)
 }
 
@@ -44,7 +44,7 @@ func (n *Node) Register(p *sim.Proc, size int) *Memory {
 	}
 	pages := (size + PageSize - 1) / PageSize
 	p.Advance(n.sys.params.RegisterBase + sim.Time(pages)*n.sys.params.RegisterPerPage)
-	m := &Memory{node: n, buf: make([]byte, size), registered: true}
+	m := &Memory{node: n, size: size, registered: true}
 	n.pinnedBytes += int64(size)
 	if n.pinnedBytes > n.maxPinnedBytes {
 		n.maxPinnedBytes = n.pinnedBytes
@@ -55,7 +55,7 @@ func (n *Node) Register(p *sim.Proc, size int) *Memory {
 // RegisterAtBoot pins a region without charging any process — used for
 // memory the kernel pins once at boot (the Sockets-GM kernel pools).
 func (n *Node) RegisterAtBoot(size int) *Memory {
-	m := &Memory{node: n, buf: make([]byte, size), registered: true}
+	m := &Memory{node: n, size: size, registered: true}
 	n.pinnedBytes += int64(size)
 	if n.pinnedBytes > n.maxPinnedBytes {
 		n.maxPinnedBytes = n.pinnedBytes
@@ -71,7 +71,7 @@ func (n *Node) PinnedBytes() int64 { return n.pinnedBytes }
 func (n *Node) MaxPinnedBytes() int64 { return n.maxPinnedBytes }
 
 // Buffer is a send or receive buffer carved from registered memory, tagged
-// with its size class.
+// with its size class. Its storage is nil until first touched.
 type Buffer struct {
 	mem   *Memory
 	class int
@@ -81,28 +81,33 @@ type Buffer struct {
 // Class returns the buffer's size class.
 func (b *Buffer) Class() int { return b.class }
 
-// Bytes exposes the buffer's storage (capacity 2^class).
-func (b *Buffer) Bytes() []byte { return b.data }
+// Bytes exposes the buffer's storage (len = cap = 2^class), allocating
+// it zeroed on the first call and returning the same slice thereafter.
+func (b *Buffer) Bytes() []byte {
+	if b.data == nil {
+		b.data = make([]byte, ClassCapacity(b.class))
+	}
+	return b.data
+}
 
 // AllocBuffer registers and returns a buffer of the given size class.
 func (n *Node) AllocBuffer(p *sim.Proc, class int) *Buffer {
 	if class < n.sys.params.MinClass || class > n.sys.params.MaxClass {
 		panic(fmt.Sprintf("gm: AllocBuffer class %d out of range", class))
 	}
-	mem := n.Register(p, ClassCapacity(class))
-	return &Buffer{mem: mem, class: class, data: mem.Bytes()}
+	return &Buffer{mem: n.Register(p, ClassCapacity(class)), class: class}
 }
 
 // SubBuffer carves a buffer of the given class out of an existing
 // registered region at the given offset, without further registration
-// cost. Used to slice one large registered pool into many buffers.
+// cost. Used to slice one large registered pool into many buffers. Each
+// buffer has its own storage: buffers of one region never alias.
 func (m *Memory) SubBuffer(off, class int) *Buffer {
-	end := off + ClassCapacity(class)
-	if off < 0 || end > len(m.buf) {
+	if off < 0 || off+ClassCapacity(class) > m.size {
 		panic("gm: SubBuffer out of range")
 	}
 	if !m.registered {
 		panic("gm: SubBuffer of deregistered memory")
 	}
-	return &Buffer{mem: m, class: class, data: m.buf[off:end:end]}
+	return &Buffer{mem: m, class: class}
 }

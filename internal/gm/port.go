@@ -240,8 +240,8 @@ func (p *Port) send(proc *sim.Proc, dst myrinet.NodeID, dstPort int, b *Buffer, 
 	if b == nil || !b.mem.registered {
 		return ErrNotPinned
 	}
-	if n < 0 || n > len(b.data) {
-		return fmt.Errorf("gm: send length %d outside buffer capacity %d", n, len(b.data))
+	if n < 0 || n > ClassCapacity(b.class) {
+		return fmt.Errorf("gm: send length %d outside buffer capacity %d", n, ClassCapacity(b.class))
 	}
 	if p.tokens <= 0 {
 		p.stats.TokenStalls++
@@ -273,6 +273,7 @@ func (p *Port) send(proc *sim.Proc, dst myrinet.NodeID, dstPort int, b *Buffer, 
 	meta := msgMeta{class: class, srcPort: p.id, sendRec: rec, aux: aux}
 
 	frags := p.node.sys.fabric.FragmentSizes(n)
+	data := b.Bytes()
 	off := 0
 	for i, fl := range frags {
 		p.node.nic.SendPacket(&myrinet.Packet{
@@ -283,7 +284,7 @@ func (p *Port) send(proc *sim.Proc, dst myrinet.NodeID, dstPort int, b *Buffer, 
 			Frag:     i,
 			NumFrags: len(frags),
 			MsgLen:   n,
-			Payload:  b.data[off : off+fl],
+			Payload:  data[off : off+fl],
 			Meta:     meta,
 		})
 		off += fl
@@ -403,12 +404,13 @@ func (p *Port) unpark(park *parkedMsg) {
 // accept copies the message into a buffer, queues the receive event, and
 // acknowledges the sender.
 func (p *Port) accept(src myrinet.NodeID, pm *partialMsg, b *Buffer) {
-	copy(b.data, pm.data)
+	data := b.Bytes()
+	copy(data, pm.data)
 	rv := &Recv{
 		From:     src,
 		FromPort: pm.meta.srcPort,
 		Class:    pm.meta.class,
-		Data:     b.data[:len(pm.data)],
+		Data:     data[:len(pm.data)],
 		Buffer:   b,
 		Aux:      pm.meta.aux,
 	}

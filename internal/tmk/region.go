@@ -181,22 +181,27 @@ func (tp *Proc) ReadBytes(r *Region, off, n int) []byte {
 	return tp.regionMem[r.ID][off : off+n : off+n]
 }
 
-// WriteAt copies data into the region at off. The store is performed
-// with asynchronous request delivery masked, after re-verifying that
-// every touched page is still writable: a request handler that runs
+// WriteAt copies data into the region at off.
+func (tp *Proc) WriteAt(r *Region, off int, data []byte) {
+	tp.writeRange(r, off, len(data), func(dst []byte) { copy(dst, data) })
+}
+
+// writeRange runs fill on the region's bytes [off, off+n). The store is
+// performed with asynchronous request delivery masked, after re-verifying
+// that every touched page is still writable: a request handler that runs
 // during the fault (a lock grant closing our interval) can revert pages
 // to read-only, and a raw store then would bypass the twin — the exact
 // hazard mprotect re-trapping closes in real TreadMarks.
-func (tp *Proc) WriteAt(r *Region, off int, data []byte) {
-	tp.checkRange(r, off, len(data))
-	if len(data) == 0 {
+func (tp *Proc) writeRange(r *Region, off, n int, fill func(dst []byte)) {
+	tp.checkRange(r, off, n)
+	if n == 0 {
 		return
 	}
 	for {
-		tp.faultRange(r, off, len(data), true)
+		tp.faultRange(r, off, n, true)
 		tp.tr.DisableAsync(tp.sp)
-		if tp.rangeWritable(r, off, len(data)) {
-			copy(tp.regionMem[r.ID][off:], data)
+		if tp.rangeWritable(r, off, n) {
+			fill(tp.regionMem[r.ID][off : off+n : off+n])
 			tp.tr.EnableAsync(tp.sp)
 			return
 		}
@@ -292,13 +297,14 @@ func (tp *Proc) ReadF64Span(r *Region, idx, n int) []float64 {
 	return out
 }
 
-// WriteF64Span writes vals into consecutive slots starting at idx.
+// WriteF64Span encodes vals straight into consecutive slots starting at
+// idx.
 func (tp *Proc) WriteF64Span(r *Region, idx int, vals []float64) {
-	b := make([]byte, len(vals)*8)
-	for i, v := range vals {
-		f64ToBits(b[i*8:], v)
-	}
-	tp.WriteAt(r, idx*8, b)
+	tp.writeRange(r, idx*8, len(vals)*8, func(dst []byte) {
+		for i, v := range vals {
+			f64ToBits(dst[i*8:], v)
+		}
+	})
 }
 
 // Compute charges d of application computation to the process's virtual
