@@ -135,6 +135,40 @@ func TestBenchE3RDMAWinsHeadlineRows(t *testing.T) {
 	}
 }
 
+// TestHomeBasedNotSlowerThanHomeless gates the choice of home-based LRC
+// as rdmagm's default (DESIGN.md §12.4) on the checked-in BENCH_e2.json:
+// at 4 and 8 ranks, home-based SOR, Jacobi and 3D-FFT on rdmagm must be
+// no slower than homeless LRC on fastgm, and TSP, whose lock-protected
+// queue gains nothing from homes, within 1%. A change that reopens the
+// gap fails here as soon as the bench files are regenerated.
+func TestHomeBasedNotSlowerThanHomeless(t *testing.T) {
+	s, err := ReadBench("../../BENCH_e2.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := map[string]int64{}
+	for _, e := range s.Entries {
+		row[fmt.Sprintf("%s/%s/%d", e.Name, e.Transport, e.Nodes)] = e.Value
+	}
+	for _, app := range []string{"sor", "jacobi", "3dfft", "tsp"} {
+		for _, n := range []int{4, 8} {
+			homeless, okL := row[fmt.Sprintf("%s/%s/%d", app, tmk.TransportFastGM, n)]
+			home, okH := row[fmt.Sprintf("%s/home-based/%s/%d", app, tmk.TransportRDMAGM, n)]
+			if !okL || !okH {
+				t.Fatalf("%s n=%d: BENCH_e2.json lacks the homeless fastgm or home-based rdmagm row", app, n)
+			}
+			limit := homeless
+			if app == "tsp" {
+				limit += homeless / 100
+			}
+			if home > limit {
+				t.Errorf("%s n=%d: home-based %d ns, homeless %d ns (%.3f×)",
+					app, n, home, homeless, float64(home)/float64(homeless))
+			}
+		}
+	}
+}
+
 // TestProfilingDoesNotPerturbHomeBased extends the profiler's
 // pure-observation invariant to the one-sided substrate and the
 // home-based protocol: attaching the entity profiler to an rdmagm run

@@ -427,10 +427,11 @@ func (st *Stack) SendFromKernel(dst myrinet.NodeID, dstPort int, data []byte) er
 	return nil
 }
 
-// transmit pushes a kernel datagram out through GM, queueing if the
-// kernel is out of tx buffers for the class.
+// transmit pushes a kernel datagram out through GM, queueing while GM
+// has no send token or the port is disabled.
 func (st *Stack) transmit(p *sim.Proc, dst myrinet.NodeID, payload, aux []byte) {
 	class := st.node.System().Params().ClassFor(len(payload))
+	st.ensureTxBuffer(p, class)
 	bufs := st.sendBufs[class]
 	if len(bufs) == 0 {
 		st.txQueue = append(st.txQueue, pendingTx{dst: dst, payload: payload, aux: aux})
@@ -446,6 +447,29 @@ func (st *Stack) transmit(p *sim.Proc, dst myrinet.NodeID, payload, aux []byte) 
 		st.sendBufs[class] = append(st.sendBufs[class], b)
 		st.txQueue = append(st.txQueue, pendingTx{dst: dst, payload: payload, aux: aux})
 	}
+}
+
+// ensureTxBuffer registers one more kernel tx buffer of the class when
+// the pool is dry and GM could take a send right now — charged to p's
+// send syscall, or to no process from kernel context (p nil). A send
+// lost on the fabric keeps its buffer until GM's resend timeout, seconds
+// later, and the large classes boot with only two buffers: were the pool
+// a hard cap, two losses would hold every page-sized datagram of the
+// node, retransmitted replies included, for longer than the peers' retry
+// budget. Without loss a kernel send completes within a round trip, so
+// the pool grows only under a burst that outruns that, such as 63
+// senders storming one receiver.
+func (st *Stack) ensureTxBuffer(p *sim.Proc, class int) {
+	if len(st.sendBufs[class]) > 0 || st.port.Tokens() == 0 || !st.port.Enabled() {
+		return
+	}
+	var b *gm.Buffer
+	if p != nil {
+		b = st.node.AllocBuffer(p, class)
+	} else {
+		b = st.node.RegisterAtBoot(gm.ClassCapacity(class)).SubBuffer(0, class)
+	}
+	st.sendBufs[class] = append(st.sendBufs[class], b)
 }
 
 // kernelSendDone builds the completion for one kernel GM send: the tx
@@ -479,6 +503,7 @@ func (st *Stack) drainTxQueue() {
 	for len(st.txQueue) > 0 {
 		tx := st.txQueue[0]
 		class := st.node.System().Params().ClassFor(len(tx.payload))
+		st.ensureTxBuffer(nil, class)
 		bufs := st.sendBufs[class]
 		if len(bufs) == 0 || st.port.Tokens() == 0 || !st.port.Enabled() {
 			return

@@ -510,3 +510,55 @@ func TestDropProbabilityInjectsLoss(t *testing.T) {
 		t.Errorf("drops = %d of 100 at p=0.5", drops)
 	}
 }
+
+// TestLostSendsDoNotStallLargeClass loses two page-sized datagrams on the
+// fabric. Each lost send keeps its kernel tx buffer until GM's resend
+// timeout, and those two are the class's whole boot pool. A third
+// datagram sent right after must still go out at once, from a buffer the
+// kernel registers on demand, instead of waiting seconds for the pool.
+func TestLostSendsDoNotStallLargeClass(t *testing.T) {
+	s := sim.New(1)
+	np := myrinet.DefaultParams()
+	// 5000-byte datagrams are two packets each: drop the first datagram
+	// whole and the second's first packet.
+	np.Faults.DropNexts = []myrinet.DropNext{{Src: 0, Dst: 1, Count: 3}}
+	fabric := myrinet.NewFabric(s, np, 2)
+	gp := gm.DefaultParams()
+	sys := gm.NewSystem(s, fabric, gp)
+	st := []*Stack{
+		NewStack(s, sys.Node(0), DefaultParams()),
+		NewStack(s, sys.Node(1), DefaultParams()),
+	}
+	var gotAt sim.Time
+	var got byte
+	s.Spawn("recv", 0, func(p *sim.Proc) {
+		sk := st[1].Socket(p)
+		if err := sk.Bind(p, 7000); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 8192)
+		if _, _, _, err := sk.RecvFrom(p, buf); err != nil {
+			t.Fatal(err)
+		}
+		got, gotAt = buf[0], p.Now()
+	})
+	s.Spawn("send", 0, func(p *sim.Proc) {
+		sk := st[0].Socket(p)
+		data := make([]byte, 5000)
+		for i := byte(1); i <= 3; i++ {
+			data[0] = i
+			if err := sk.SendTo(p, 1, 7000, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got != 3 {
+		t.Fatalf("first datagram received is #%d, want #3 (the two before it are lost)", got)
+	}
+	if gotAt >= sim.Millisecond {
+		t.Errorf("third datagram arrived at %v, want well under GM's %v resend timeout", gotAt, gp.ResendTimeout)
+	}
+}

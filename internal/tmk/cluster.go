@@ -210,6 +210,7 @@ type Cluster struct {
 
 	nextRegionID int32
 	nextPage     int32
+	regions      []*Region // every allocated region, in StartPage order
 }
 
 // Result summarizes a completed run.

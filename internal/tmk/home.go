@@ -37,10 +37,13 @@ import (
 // writer's release by some synchronization chain, by which time the
 // notice has arrived anyway.
 
-// homeOf returns the rank serving as page pg's home: static round-robin
-// over the compute ranks (consecutive pages of a region spread across
-// the cluster without any directory state), overridden by the membership
-// ring when the home has moved to a joined extra (DESIGN.md §14).
+// homeOf returns the rank serving as page pg's home: its region is cut
+// into one contiguous block of pages per compute rank, in rank order, so
+// any rank computes the home from the region descriptor alone, with no
+// directory. The blocks follow the band decomposition the applications
+// use, so a rank's band pages are, up to the band edges, its own to
+// serve and need no flush. The membership ring overrides the rule when
+// a home has moved to a joined extra (DESIGN.md §14).
 func (tp *Proc) homeOf(pg int32) int { return tp.cluster.placePage(pg) }
 
 // windowOff maps a page to its byte offset inside its region's window.

@@ -329,8 +329,9 @@ func (tp *Proc) OnPeerView(peer int, frame []byte) {
 }
 
 // ---------------------------------------------------------------------------
-// Placement. The static rank arithmetic is the base; the override map
-// records every entity the ring moved.
+// Placement. The static rank arithmetic is the base — locks id mod w,
+// pages by block within their region, the root at rank 0; the override
+// map records every entity the ring moved.
 
 func (c *Cluster) placeLock(id int32) int {
 	if c.member != nil {
@@ -347,7 +348,15 @@ func (c *Cluster) placePage(pg int32) int {
 			return o
 		}
 	}
-	return int(pg % int32(c.w))
+	r := c.regionOf(pg)
+	return blockHome(pg-r.StartPage, r.NPages, c.w)
+}
+
+// blockHome is the static home of the i-th of a region's npages pages
+// among w compute ranks: the region is cut into w contiguous blocks, rank
+// k's block starting at page ⌈k·npages/w⌉.
+func blockHome(i, npages int32, w int) int {
+	return int(int64(i) * int64(w) / int64(npages))
 }
 
 func (c *Cluster) placeRoot() int {

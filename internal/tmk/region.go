@@ -2,9 +2,11 @@ package tmk
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/msg"
 	"repro/internal/sim"
+	"repro/internal/substrate"
 )
 
 // Region is a shared-memory region in the global page-aligned address
@@ -49,6 +51,7 @@ func (tp *Proc) Alloc(nbytes int) *Region {
 	}
 	tp.cluster.nextRegionID++
 	tp.cluster.nextPage += npages
+	tp.cluster.regions = append(tp.cluster.regions, r)
 	r.committed = true // the owner's own window exists from mapRegion on
 	tp.mapRegion(r, true)
 	return r
@@ -59,27 +62,28 @@ func (tp *Proc) Alloc(nbytes int) *Region {
 // has acked the announcement (mapping the region and registering its
 // window) are the AllocShared waiters released, so no rank can write —
 // and therefore flush to a home window — before every window exists.
+// Each round is sent to all peers before any reply is awaited, so the
+// peers' window registrations overlap instead of queueing one behind
+// the other.
 func (tp *Proc) Distribute(r *Region) {
+	tp.announce(r, msg.KDistribute, "distribute")
+	if tp.homeBased {
+		tp.announce(r, msg.KDistributeCommit, "commit")
+	}
+}
+
+// announce sends one region message of the given kind to every peer and
+// gathers their acks.
+func (tp *Proc) announce(r *Region, kind msg.Kind, what string) {
+	pending := make([]substrate.Pending, 0, tp.n-1)
 	for peer := 0; peer < tp.n; peer++ {
-		if peer == tp.rank {
-			continue
-		}
-		rep := tp.call(peer, fmt.Sprintf("region %d (distribute to %d)", r.ID, peer),
-			&msg.Message{Kind: msg.KDistribute, Region: r.wire()})
-		if rep.Kind != msg.KAck {
-			panic(fmt.Sprintf("tmk: distribute: unexpected %v", rep.Kind))
+		if peer != tp.rank {
+			pending = append(pending, tp.tr.CallBegin(tp.sp, peer, &msg.Message{Kind: kind, Region: r.wire()}))
 		}
 	}
-	if tp.homeBased {
-		for peer := 0; peer < tp.n; peer++ {
-			if peer == tp.rank {
-				continue
-			}
-			rep := tp.call(peer, fmt.Sprintf("region %d (commit to %d)", r.ID, peer),
-				&msg.Message{Kind: msg.KDistributeCommit, Region: r.wire()})
-			if rep.Kind != msg.KAck {
-				panic(fmt.Sprintf("tmk: distribute commit: unexpected %v", rep.Kind))
-			}
+	for _, rep := range tp.scatter(fmt.Sprintf("region %d (%s to %d peers)", r.ID, what, len(pending)), pending) {
+		if rep.Kind != msg.KAck {
+			panic(fmt.Sprintf("tmk: %s: unexpected %v", what, rep.Kind))
 		}
 	}
 }
@@ -161,6 +165,20 @@ func (tp *Proc) mapRegion(r *Region, owned bool) {
 		}
 	})
 	tp.regionCond.Broadcast()
+}
+
+// regionOf returns the region holding global page pg. Regions take
+// consecutive page ids as they are allocated, so the list is sorted and
+// leaves no gaps.
+func (c *Cluster) regionOf(pg int32) *Region {
+	i := sort.Search(len(c.regions), func(i int) bool {
+		r := c.regions[i]
+		return r.StartPage+r.NPages > pg
+	})
+	if i == len(c.regions) {
+		panic(fmt.Sprintf("tmk: page %d is in no allocated region", pg))
+	}
+	return c.regions[i]
 }
 
 // page returns the metadata for a global page id.

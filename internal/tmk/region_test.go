@@ -3,6 +3,8 @@ package tmk_test
 import (
 	"testing"
 
+	"repro/internal/gm"
+	"repro/internal/sim"
 	"repro/internal/tmk"
 )
 
@@ -169,4 +171,37 @@ func TestBarrierEpisodesAdvance(t *testing.T) {
 	if res.Stats.Barriers != 4*26 {
 		t.Errorf("barriers = %d, want %d", res.Stats.Barriers, 4*26)
 	}
+}
+
+// TestDistributeOverlapsWindowRegistrations distributes a 2 MiB region
+// from rank 0 to 15 peers under home-based LRC on rdmagm. Each peer
+// registers the whole region as its RDMA window before it acks. The
+// announcements all go out before any ack is awaited, so the round costs
+// about one registration, not one per peer.
+func TestDistributeOverlapsWindowRegistrations(t *testing.T) {
+	const (
+		procs  = 16
+		nbytes = 2 << 20
+	)
+	cfg := tmk.DefaultConfig(procs, tmk.TransportRDMAGM)
+	pages := (nbytes + gm.PageSize - 1) / gm.PageSize
+	register := cfg.GM.RegisterBase + sim.Time(pages)*cfg.GM.RegisterPerPage
+	var took sim.Time
+	_, err := tmk.Run(cfg, func(tp *tmk.Proc) {
+		if tp.Rank() != 0 {
+			tp.AllocShared(nbytes)
+			return
+		}
+		r := tp.Alloc(nbytes)
+		start := tp.Now()
+		tp.Distribute(r)
+		took = tp.Now() - start
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took >= 2*register {
+		t.Errorf("distribute took %v, want under 2× one window registration (%v)", took, register)
+	}
+	t.Logf("distribute %v, one registration %v (%.2f×)", took, register, float64(took)/float64(register))
 }
